@@ -338,6 +338,9 @@ def run_fleet(spec: FleetSpec, store_dir: str,
                     f"policy store {store_dir!r} is empty; train one "
                     "with 'python -m repro train --save'")
             snapshot = store.load(latest.ref)
+    # One hash per campaign: ``digest`` re-hashes every policy's
+    # weights on each access.
+    snapshot_digest = snapshot.digest
     if scenarios is None:
         scenarios = spec.resolve_scenarios()
     scenario_key = _scenario_key(spec, scenarios)
@@ -357,7 +360,7 @@ def run_fleet(spec: FleetSpec, store_dir: str,
         if (existing is not None and existing.results
                 and existing.spec_key == content_key(spec)
                 and existing.scenario_key == scenario_key
-                and existing.snapshot_digest == snapshot.digest):
+                and existing.snapshot_digest == snapshot_digest):
             raise ValueError(
                 f"checkpoint {checkpoint_path!r} already holds "
                 f"{len(existing.results)}/{existing.shards} completed "
@@ -377,11 +380,11 @@ def run_fleet(spec: FleetSpec, store_dir: str,
                 "scenario *definitions* -- a scenario in the cycle "
                 "was edited since the run was checkpointed; rerun "
                 "without --resume")
-        if checkpoint.snapshot_digest != snapshot.digest:
+        if checkpoint.snapshot_digest != snapshot_digest:
             raise ValueError(
                 f"checkpoint {checkpoint_path!r} pins snapshot digest "
                 f"{checkpoint.snapshot_digest[:12]}, but "
-                f"{snapshot.ref} has {snapshot.digest[:12]}")
+                f"{snapshot.ref} has {snapshot_digest[:12]}")
         if checkpoint.shards != min(shards, spec.cells):
             raise ValueError(
                 f"checkpoint {checkpoint_path!r} was sharded "
@@ -392,7 +395,7 @@ def run_fleet(spec: FleetSpec, store_dir: str,
             progress(f"resuming: {len(done)}/{checkpoint.shards} "
                      "shard(s) already checkpointed")
     plans = plan_shards(spec, shards, store_dir, snapshot.ref,
-                        snapshot.digest, scenarios=scenarios,
+                        snapshot_digest, scenarios=scenarios,
                         engine=engine)
     shards = len(plans)
     pending = [plan for plan in plans if plan.shard not in done]
@@ -433,7 +436,7 @@ def run_fleet(spec: FleetSpec, store_dir: str,
         tmp = f"{checkpoint_path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as out:
             out.write(json.dumps(_checkpoint_header(
-                spec, snapshot.ref, snapshot.digest, shards,
+                spec, snapshot.ref, snapshot_digest, shards,
                 scenario_key)) + "\n")
             for shard_id in sorted(done):
                 out.write(json.dumps(
@@ -493,5 +496,5 @@ def run_fleet(spec: FleetSpec, store_dir: str,
             driver.evaluator.timeline.close()
     wall = time.perf_counter() - start + replayed_s
     results = [done[shard] for shard in sorted(done)]
-    return build_report(spec, snapshot.ref, snapshot.digest, results,
+    return build_report(spec, snapshot.ref, snapshot_digest, results,
                         shards=shards, wall_time_s=wall)

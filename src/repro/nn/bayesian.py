@@ -81,13 +81,23 @@ class VariationalDense(Module):
         return [self.weight_mu, self.weight_rho, self.bias_mu,
                 self.bias_rho]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def moments(self, x: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pre-activation ``(act_mean, act_std, sigma_w, sigma_b)``.
+
+        ``x`` may carry leading batch axes (``(S, rows, in)``): the
+        stacked ``matmul`` runs the same per-item product as a 2-D one.
+        """
         sigma_w = _softplus(self.weight_rho.value)
         sigma_b = _softplus(self.bias_rho.value)
         act_mean = x @ self.weight_mu.value + self.bias_mu.value
         act_var = (x ** 2) @ (sigma_w ** 2) + sigma_b ** 2
-        act_std = np.sqrt(np.maximum(act_var, 1e-16))
+        return (act_mean, np.sqrt(np.maximum(act_var, 1e-16)),
+                sigma_w, sigma_b)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        act_mean, act_std, sigma_w, sigma_b = self.moments(x)
         if self.sample_noise:
             eps = self._rng.standard_normal(act_mean.shape)
         else:
@@ -239,20 +249,47 @@ class BayesianMLP(Module):
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior-predictive mean and standard deviation.
 
-        Draws ``num_samples`` stochastic forward passes (epistemic
-        uncertainty) and folds in the learned observation noise
-        (aleatoric).  Accepts single or batched inputs.
+        Draws ``num_samples`` stochastic passes (epistemic uncertainty)
+        by sampling every layer's pre-activations with the local
+        reparameterisation trick, then folds in the learned observation
+        noise (aleatoric).  Accepts single or batched inputs.
+
+        All passes run at once: each layer's moments are computed once
+        per call (layer 0's are shared by every pass) and later layers
+        run as stacked ``(S, rows, in) @ (in, out)`` products.  The
+        noise keeps the order of ``num_samples`` sequential
+        :meth:`forward` calls -- sample-major, then layer order -- drawn
+        as one block: a generator hands out the same values in one
+        call as in many small ones, so results and the generator state
+        afterwards are bit-identical to that loop.  ``rng``, when
+        given, is bound to every layer for later calls too.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        x2d = np.atleast_2d(x)
+        out = np.atleast_2d(x)
         if rng is not None:
             for vlayer in self._vlayers:
                 vlayer._rng = rng
         self._set_sampling(True)
-        draws = np.stack([self.forward(x2d) for _ in range(num_samples)])
-        mean = draws.mean(axis=0)
-        epistemic_var = draws.var(axis=0)
+        # Every layer shares the network's generator (one at
+        # construction, rebound together above).  Row ``s`` of the
+        # block is pass ``s``'s noise, layer after layer.
+        rows = out.shape[0]
+        block = self._vlayers[0]._rng.standard_normal(
+            (num_samples, rows * sum(v.out_features for v in self._vlayers)))
+        start = 0
+        for layer in self.layers:
+            if isinstance(layer, VariationalDense):
+                width = rows * layer.out_features
+                eps = block[:, start:start + width].reshape(
+                    num_samples, rows, layer.out_features)
+                start += width
+                act_mean, act_std, _, _ = layer.moments(out)
+                out = act_mean + act_std * eps
+            else:
+                out = layer.forward(out)
+        mean = out.mean(axis=0)
+        epistemic_var = out.var(axis=0)
         noise_var = float(np.exp(2.0 * self.log_noise.value[0]))
         std = np.sqrt(epistemic_var + noise_var)
         if single:

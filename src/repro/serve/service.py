@@ -368,6 +368,10 @@ class SlicingService:
                 actions = policy.actions(states)
             t1 = time.perf_counter()
             with trace("serve.fallback", **self._trace_attrs):
+                # Latched rows go through pi_phi too: their flags are
+                # ignored, but their posterior draws advance the
+                # service RNG.  Skipping them would shift that stream,
+                # and with it every later decision digest.
                 flags = self._fallback_flags(policy, states)
                 for i, (name, state) in enumerate(entries):
                     fallback = name in self._switched or bool(flags[i])
@@ -427,7 +431,13 @@ class SlicingService:
                         states: np.ndarray) -> np.ndarray:
         """Eq. 8 per state: cumulative cost + pi_phi posterior beyond
         the episode budget means pi_b must take over (callers latch
-        the flag for the rest of the episode)."""
+        the flag for the rest of the episode).
+
+        :meth:`_decide_batched` passes every row, latched slices
+        included: the posterior draws consume the shared service RNG,
+        so leaving latched rows out would change every later batched
+        decision, not just save work.  (The unbatched reference path
+        short-circuits latched slices; its digests differ anyway.)"""
         if policy.estimator is None or policy.baseline is None:
             return np.zeros(len(states), dtype=bool)
         mu, sigma = policy.cost_to_go(states)

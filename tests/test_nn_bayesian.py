@@ -112,3 +112,94 @@ class TestBayesianMLP:
         parts = sum(v.kl_divergence(net.prior_std)
                     for v in net._vlayers)
         assert total == pytest.approx(parts)
+
+
+def _loop_predict(net, x, num_samples, rng=None):
+    """The sequential posterior predictive ``predict`` must match: one
+    full ``forward`` per sample, each drawing its layers' noise in
+    layer order from the layers' generator."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    if rng is not None:
+        for vlayer in net._vlayers:
+            vlayer._rng = rng
+    net._set_sampling(True)
+    draws = np.stack([net.forward(np.atleast_2d(x))
+                      for _ in range(num_samples)])
+    noise_var = float(np.exp(2.0 * net.log_noise.value[0]))
+    mean = draws.mean(axis=0)
+    std = np.sqrt(draws.var(axis=0) + noise_var)
+    return (mean[0], std[0]) if single else (mean, std)
+
+
+def _twin_nets(activation, hidden_sizes=(64, 32), rho=None, seed=7):
+    """Two identical pi_phi-shaped networks, each with its own (equal)
+    generator, optionally trained a little so the weights are not the
+    initial ones."""
+    nets = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        net = BayesianMLP(9, 1, hidden_sizes=hidden_sizes,
+                          activation=activation, rng=rng)
+        if rho is not None:
+            for vlayer in net._vlayers:
+                vlayer.weight_rho.value[...] = rho
+                vlayer.bias_rho.value[...] = rho - 1.0
+        optim = Adam(net.parameters(), lr=1e-2)
+        data = np.random.default_rng(seed + 1)
+        x = data.standard_normal((32, 9))
+        for _ in range(3):
+            optim.zero_grad()
+            net.elbo_step(x, x[:, :1] ** 2, kl_weight=1e-3)
+            optim.step()
+        nets.append(net)
+    return nets
+
+
+class TestPredictParity:
+    """``predict`` is bit-identical to a loop of ``forward`` calls:
+    same mean and std bits, and the generator ends in the same state
+    (every later draw -- and every serve digest -- depends on it)."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 50, 64])
+    @pytest.mark.parametrize("num_samples", [1, 16])
+    @pytest.mark.parametrize("rho", [None, -1.5])
+    def test_bit_identical_to_forward_loop(self, activation, rows,
+                                           num_samples, rho):
+        fused, loop = _twin_nets(activation, rho=rho)
+        x = np.random.default_rng(rows).standard_normal((rows, 9))
+        gen_a = np.random.default_rng(99)
+        gen_b = np.random.default_rng(99)
+        for _ in range(2):  # a second call continues the stream
+            mean_a, std_a = fused.predict(x, num_samples, rng=gen_a)
+            mean_b, std_b = _loop_predict(loop, x, num_samples,
+                                          rng=gen_b)
+            assert mean_a.shape == (rows, 1) and std_a.shape == (rows, 1)
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(std_a, std_b)
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
+        assert all(v._rng is gen_a for v in fused._vlayers)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_single_input(self, activation):
+        fused, loop = _twin_nets(activation)
+        x = np.linspace(-1.0, 1.0, 9)
+        mean_a, std_a = fused.predict(x, rng=np.random.default_rng(3))
+        mean_b, std_b = _loop_predict(loop, x, 16,
+                                      rng=np.random.default_rng(3))
+        assert mean_a.shape == (1,) and std_a.shape == (1,)
+        assert np.array_equal(mean_a, mean_b)
+        assert np.array_equal(std_a, std_b)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rng_none_uses_layer_generator(self, rows):
+        fused, loop = _twin_nets("relu")
+        x = np.random.default_rng(5).standard_normal((rows, 9))
+        for _ in range(2):
+            mean_a, std_a = fused.predict(x)
+            mean_b, std_b = _loop_predict(loop, x, 16)
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(std_a, std_b)
+        assert (fused._vlayers[0]._rng.bit_generator.state
+                == loop._vlayers[0]._rng.bit_generator.state)

@@ -1,6 +1,7 @@
 """Tests: the serving layer (policy store, decision service, loadgen,
 snapshot-eval units, and the serve-facing CLI surface)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.nn.network import MLP
 from repro.runtime.cache import ResultCache
 from repro.runtime.cli import main, parse_size
 from repro.runtime.units import execute_unit, make_unit, unit_cache_key
+from repro.serve.service import _LearnedPolicy
 from repro.serve import (
     DecisionRequest,
     LoadGenerator,
@@ -384,6 +386,46 @@ class TestLoadGenerator:
         ]
         assert runs[0].decision_digest == runs[1].decision_digest
         assert runs[0].violation_rate == runs[1].violation_rate
+
+    #: OnSlicing serve digests, pinned: ``(decision digest, SHA-256
+    #: over every pi_phi (mu, sigma) the service computed)``.  Actions
+    #: move only when an Eq.-8 flag flips, so the posterior digest is
+    #: what catches a reordered, skipped or extra posterior draw.
+    ONSLICING_DIGESTS = {
+        True: ("b1cfe74c3dd7a78cf11a2ad086965d4ff5e55c72"
+               "b717d111fb0d86730aed55e0",
+               "05c9e5b2e8ab4de477b2184d0e7476b1d6f0913e"
+               "c93e2e9fd80afc6cea95c389"),
+        False: ("40cc85c781d4a4b45bfd5df27052a452335dc2f1"
+                "8181081519b96bf767f1b947",
+                "699d4632ca76d747fb6ebe1bbea10f5f6ddd44d5"
+                "28ab9be8e97403027464ca8d"),
+    }
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_onslicing_digest_pinned(self, onslicing_snapshot, batching,
+                                     monkeypatch):
+        posterior = hashlib.sha256()
+        cost_to_go = _LearnedPolicy.cost_to_go
+
+        def recorded(policy, states):
+            mu, sigma = cost_to_go(policy, states)
+            posterior.update(mu.tobytes())
+            posterior.update(sigma.tobytes())
+            return mu, sigma
+
+        monkeypatch.setattr(_LearnedPolicy, "cost_to_go", recorded)
+        gen = LoadGenerator(onslicing_snapshot, "flash_crowd", slices=6,
+                            seed=3, batching=batching)
+        report = gen.run(episodes=1)
+        causes = {cause: counter.value for cause, counter
+                  in gen.service._fallback_causes.items()}
+        assert report.decisions == 576
+        # the cell exercises both fresh Eq.-8 triggers and the latch
+        assert report.fallbacks > 0
+        assert causes.get("eq8", 0) > 0 and causes.get("latched", 0) > 0
+        assert (report.decision_digest, posterior.hexdigest()) \
+            == self.ONSLICING_DIGESTS[batching]
 
     def test_needs_named_scenario(self, onrl_snapshot):
         with pytest.raises(ValueError, match="named scenario"):
