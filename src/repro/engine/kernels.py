@@ -75,17 +75,9 @@ a float expression; each is bit-exact for the stated reason:
   (``1 - overhead``, float casts of the integer ``users`` /
   ``num_paths`` / ``num_sgwu`` columns, app masks, padded-user masks)
   are cached per layout via :meth:`KernelArena.static`; integer ->
-  float64/float32 casts of these small counts are exact, and numpy
-  performs the identical promotion inside the historical mixed-dtype
+  float64 casts of these small counts are exact, and numpy performs
+  the identical promotion inside the historical mixed-dtype
   expressions.
-
-Precision tiers: a float64 arena (the default, and the only
-digest-bearing configuration) reproduces the scalar pipeline
-bit-for-bit; a float32 arena evaluates the same operation sequence in
-single precision for the opt-in ``vector-fast`` engine, with
-:meth:`KernelArena.rows_view` supplying cast row constants.  The fast
-tier's agreement with the float64 oracle is tolerance-checked, never
-digest-pinned (``tests/test_engine_fast.py``).
 """
 
 from __future__ import annotations
@@ -109,7 +101,6 @@ from repro.sim.queueing import RHO_KNEE
 #: MCS spectral-efficiency table as an array (same values as the
 #: scalar lookups in :mod:`repro.sim.phy`).
 _MCS_EFF = np.asarray(MCS_TABLE, dtype=np.float64)
-_MCS_EFF_F32 = _MCS_EFF.astype(np.float32)
 
 #: Usage-counted action columns (paper Eq. 9).
 _USAGE_COLS = np.asarray(USAGE_ACTION_INDICES, dtype=np.intp)
@@ -127,20 +118,8 @@ _ROWS_UIDS = itertools.count(1)
 
 def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
                    a: KernelArena) -> np.ndarray:
-    """Arena form of :func:`queueing_latency_rows` (same bits).
-
-    When the arena carries a compiled queueing kernel (the numba tier
-    of ``vector-fast``, see :mod:`repro.engine.fastpath`) the seven
-    ufunc passes collapse into one fused loop; that hook only exists
-    on non-digest-bearing float32 arenas.
-    """
+    """Arena form of :func:`queueing_latency_rows` (same bits)."""
     shape = rho.shape
-    jit = getattr(a, "jit", None)
-    if jit is not None and service_ms.shape == shape \
-            and service_ms.flags.c_contiguous and rho.flags.c_contiguous:
-        out = a.take(shape)
-        jit(service_ms.ravel(), rho.ravel(), out.ravel())
-        return out
     r = a.take(shape)
     np.maximum(rho, 0.0, out=r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -402,16 +381,6 @@ class WorldConditions:
                    extra_latency_ms=np.zeros(num_worlds),
                    background_load_fraction=np.zeros(num_worlds))
 
-    @classmethod
-    def from_fabrics(cls, fabrics) -> "WorldConditions":
-        return cls(
-            capacity_scale=np.asarray(
-                [fabric.capacity_scale for fabric in fabrics]),
-            extra_latency_ms=np.asarray(
-                [fabric.extra_latency_ms for fabric in fabrics]),
-            background_load_fraction=np.asarray(
-                [fabric.background_load_fraction for fabric in fabrics]))
-
     def refresh(self, fabrics) -> "WorldConditions":
         """Re-read the fabrics into the existing buffers (no allocs).
 
@@ -446,7 +415,6 @@ def _user_sum_into(values: np.ndarray, mask: np.ndarray,
 
 def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
     """Layout-constant derived arrays, built once per arena key."""
-    dt = a.dtype
 
     def s(name, builder):
         return a.static(name, builder)
@@ -455,13 +423,13 @@ def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
     return {
         "user_mask": s("user_mask", lambda: (
             np.arange(num_users)[None, :] < rows.users[:, None])),
-        "users_f": s("users_f", lambda: rows.users.astype(dt)),
+        "users_f": s("users_f", lambda: rows.users.astype(np.float64)),
         "num_paths_f": s("num_paths_f",
-                         lambda: rows.num_paths.astype(dt)),
+                         lambda: rows.num_paths.astype(np.float64)),
         "paths_hi": s("paths_hi",
-                      lambda: (rows.num_paths - 1).astype(dt)),
+                      lambda: (rows.num_paths - 1).astype(np.float64)),
         "num_sgwu_f": s("num_sgwu_f",
-                        lambda: rows.num_sgwu.astype(dt)),
+                        lambda: rows.num_sgwu.astype(np.float64)),
         "max_sgwu": s("max_sgwu", lambda: int(rows.num_sgwu.max())),
         "sgwu_masks": s("sgwu_masks", lambda: [
             j < rows.num_sgwu
@@ -477,15 +445,6 @@ def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
         "app_masks": s("app_masks", lambda: {
             app: rows.app == code for app, code in APP_CODES.items()}),
     }
-
-
-def _cast_in(value: np.ndarray, a: KernelArena) -> np.ndarray:
-    """``value`` in the arena dtype (no copy when it already is)."""
-    if value.dtype == a.dtype:
-        return value
-    out = a.take(value.shape)
-    out[...] = value
-    return out
 
 
 def evaluate_rows(rows: SliceRows, cond: WorldConditions,
@@ -512,9 +471,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     arena:
         Persistent :class:`~repro.engine.arena.KernelArena` for
         steady-state zero-allocation evaluation; ``None`` builds a
-        transient arena for this call (the historical
-        allocate-per-call behaviour, kept for the ``vector-compat``
-        reference engine and one-shot callers).  The returned arrays
+        fresh arena for this call (one-shot callers).  The returned arrays
         are **owned by the arena**: read/copy them before the next
         pass on the same arena overwrites them.
 
@@ -534,22 +491,20 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     num_rows = rows.num_rows
     num_users = cqi.shape[1]
     a.begin((rows.uid, num_rows, num_users))
-    dt = a.dtype
-    rows = a.rows_view(rows)
     st = _statics_for(rows, a, num_users)
     R = num_rows
 
-    actions = np.asarray(actions)
-    if actions.shape != (R, NUM_ACTIONS):
+    raw = np.asarray(actions, dtype=np.float64)
+    if raw.shape != (R, NUM_ACTIONS):
         raise ValueError(
             f"actions must have shape ({R}, {NUM_ACTIONS})"
-            f", got {actions.shape}")
-    raw = _cast_in(actions, a)
-    rates = _cast_in(np.asarray(rates), a)
-    margin_db = _cast_in(np.asarray(margin_db), a)
-    cap_scale = _cast_in(cond.capacity_scale, a)
-    extra_lat = _cast_in(cond.extra_latency_ms, a)
-    bg_load = _cast_in(cond.background_load_fraction, a)
+            f", got {raw.shape}")
+    rates = np.asarray(rates, dtype=np.float64)
+    margin_db = np.asarray(margin_db, dtype=np.float64)
+    cap_scale = np.asarray(cond.capacity_scale, dtype=np.float64)
+    extra_lat = np.asarray(cond.extra_latency_ms, dtype=np.float64)
+    bg_load = np.asarray(cond.background_load_fraction,
+                         dtype=np.float64)
 
     arr = a.take((R, NUM_ACTIONS))
     np.clip(raw, 0.0, 1.0, out=arr)
@@ -840,8 +795,7 @@ def _radio_direction(rows: SliceRows, st, share: np.ndarray,
     np.subtract(base_mcs, mcs_offset[:, None], out=mcs)
     np.clip(mcs, 0, NUM_MCS - 1, out=mcs)
     eff = a.take((num_rows, num_users))
-    table = _MCS_EFF if a.dtype == np.float64 else _MCS_EFF_F32
-    np.take(table, mcs, out=eff)
+    np.take(_MCS_EFF, mcs, out=eff)
     off_f = a.take(num_rows)
     off_f[...] = mcs_offset
     retx_row = a.take(num_rows)

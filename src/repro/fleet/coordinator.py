@@ -35,7 +35,7 @@ from repro.obs.slo import IncidentTimeline, SloEvaluator, SloSpec
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
 from repro.serve.policy_store import PolicyStore
-from repro.serve.telemetry import Telemetry
+from repro.obs.metrics import Telemetry
 
 CHECKPOINT_FORMAT = 1
 

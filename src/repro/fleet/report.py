@@ -20,7 +20,7 @@ from repro.fleet.spec import FleetSpec
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import register_dataclass
 from repro.serve.service import DECISION_STAGES
-from repro.serve.telemetry import Telemetry
+from repro.obs.metrics import Telemetry
 
 #: Cells reported as outliers (largest SLA deviation first).
 OUTLIER_LIMIT = 5

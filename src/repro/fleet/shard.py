@@ -10,7 +10,7 @@ through a :class:`~repro.serve.loadgen.LoadGenerator` -- a per-cell
 :class:`~repro.serve.service.SlicingService` over the shared snapshot.
 
 Telemetry never leaves the shard raw: per-cell counters and bounded
-histograms merge into one shard-level :class:`~repro.serve.telemetry
+histograms merge into one shard-level :class:`~repro.obs.metrics
 .Telemetry`, and the :class:`ShardResult` shipped to the coordinator
 is O(instruments) + O(cells-in-shard) small, no matter how many
 decisions the shard served.
@@ -29,7 +29,7 @@ from repro.runtime.serialization import register_dataclass
 from repro.scenarios import ScenarioSpec
 from repro.serve.loadgen import LoadGenerator
 from repro.serve.policy_store import PolicySnapshot, PolicyStore
-from repro.serve.telemetry import Histogram, Telemetry, parse_key
+from repro.obs.metrics import Histogram, Telemetry, parse_key
 
 
 @register_dataclass
@@ -103,20 +103,15 @@ class ShardPlan:
     store_dir: str
     snapshot_ref: str
     snapshot_digest: str
-    #: "vector" (and the "vector-compat" reference tier) step every
-    #: cell of the shard in one lockstep
+    #: "vector" steps every cell of the shard in one lockstep
     #: :class:`~repro.engine.batch.BatchSimulator`; "scalar" runs the
     #: classic sequential per-cell loop.  Cell results (decision
-    #: digests included) are identical across those three -- they share
-    #: one float64 kernel code path -- so the choice never enters
-    #: cache keys.  "vector-fast" trades that bit-parity for speed
-    #: (float32 + optional numba); never use it for digest-bearing
-    #: runs.
+    #: digests included) are identical on both -- they share one
+    #: kernel code path -- so the choice never enters cache keys.
     engine: str = "vector"
 
 
-def _drive_cells_lockstep(generators, episodes: int,
-                          engine: str = "vector") -> None:
+def _drive_cells_lockstep(generators, episodes: int) -> None:
     """Advance every cell's episodes through one batched engine.
 
     Each slot serves every active cell's decision batch through its
@@ -127,8 +122,7 @@ def _drive_cells_lockstep(generators, episodes: int,
     """
     from repro.engine.batch import BatchSimulator
 
-    batch = BatchSimulator([g.simulator for g in generators],
-                           engine=engine)
+    batch = BatchSimulator([g.simulator for g in generators])
     active = []
     for index, generator in enumerate(generators):
         generator.begin_run(episodes)
@@ -190,12 +184,9 @@ def run_fleet_shard(plan: ShardPlan,
             f"snapshot {plan.snapshot_ref!r} changed since the fleet "
             f"was planned (digest {snapshot.digest[:12]} != "
             f"{plan.snapshot_digest[:12]}); re-plan the fleet")
-    from repro.engine.batch import BATCH_ENGINES
+    from repro.engine.batch import check_engine
 
-    if plan.engine != "scalar" and plan.engine not in BATCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {plan.engine!r}; expected 'scalar' or "
-            f"one of {BATCH_ENGINES}")
+    check_engine(plan.engine)
     with trace("fleet.shard", shard=plan.shard):
         aggregate = Telemetry()
         generators = []
@@ -213,9 +204,8 @@ def run_fleet_shard(plan: ShardPlan,
                 telemetry=telemetry,
                 trace_attrs={"cell": cell.cell,
                              "scenario": cell.scenario}))
-        if plan.engine != "scalar" and len(generators) > 1:
-            _drive_cells_lockstep(generators, plan.spec.episodes,
-                                  engine=plan.engine)
+        if plan.engine == "vector" and len(generators) > 1:
+            _drive_cells_lockstep(generators, plan.spec.episodes)
             reports = [generator.finish_run()
                        for generator in generators]
         else:

@@ -11,9 +11,8 @@ repo:
   shard count.
 * :mod:`repro.obs.metrics` -- the unified metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, optional
-  labels, JSONL + Prometheus-text export, injectable clock).
-  ``repro.serve.telemetry`` re-exports it unchanged, so existing
-  snapshot keys and fleet merge semantics hold.
+  labels, JSONL + Prometheus-text export, injectable clock), which
+  the serve and fleet layers record into.
 * :mod:`repro.obs.profile` -- opt-in per-kernel wall/alloc sampling
   hooks inside :func:`repro.engine.kernels.evaluate_rows`;
   ``repro obs profile`` prints the per-kernel cost breakdown.
@@ -41,11 +40,10 @@ Import discipline: this package depends only on the standard library
 and numpy, so every other layer (engine, serve, fleet, runtime) can
 instrument itself without import cycles.
 
-Note: ``repro.obs.trace`` is both a module and, as re-exported here,
-the span *function* -- import the function as ``from repro.obs import
-trace`` or ``from repro.obs.trace import trace``, and the module via
-``from repro.obs import trace as trace_module`` only if you need the
-configure/rollup API wholesale.
+Note: ``repro.obs.trace`` is the tracing *module*; the span function
+of the same name is deliberately not re-exported here, so the
+attribute never shadows the module.  Import the function as ``from
+repro.obs.trace import trace``.
 """
 
 from repro.obs.anomaly import (
@@ -89,7 +87,6 @@ from repro.obs.trace import (
     disable as disable_tracing,
     read_rollup,
     rollup_digest,
-    trace,
 )
 
 __all__ = [
@@ -122,6 +119,5 @@ __all__ = [
     "record_bench_result",
     "replay_shards",
     "rollup_digest",
-    "trace",
     "worst_cells",
 ]

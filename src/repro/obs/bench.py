@@ -185,7 +185,7 @@ def compare(results_dir: str, baseline_dir: str,
     minimum value) is checked against the same ``extra_info``, and a
     metric below its minimum (or absent) is a regression regardless of
     wall-clock ratio.  The engine bench uses this to pin the arena
-    path's B=128 speedup over the allocating ``vector-compat`` tier.
+    path's B=128 speedup over the scalar loop.
     """
     current = load_dir(results_dir)
     baseline = load_dir(baseline_dir)

@@ -1,12 +1,11 @@
 """Unified metrics registry: counters, gauges, histograms, exporters.
 
-This module is the general home of what started life as serve-side
-telemetry (``repro.serve.telemetry`` remains as a re-export shim, so
-snapshot keys, checkpoint states and fleet merge semantics are
-unchanged).  A :class:`Telemetry` registry hands out named
-:class:`Counter`, :class:`Gauge` and :class:`Histogram` instruments --
-optionally *labeled* with a small ``{key: value}`` dict, Prometheus
-style -- and exports them as JSONL (one JSON object per instrument)
+This module is the home of the serving layer's telemetry: every
+service, load generator and fleet shard records into it.  A
+:class:`Telemetry` registry hands out named :class:`Counter`,
+:class:`Gauge` and :class:`Histogram` instruments -- optionally
+*labeled* with a small ``{key: value}`` dict, Prometheus style -- and
+exports them as JSONL (one JSON object per instrument)
 or Prometheus text exposition format.
 
 Every instrument is *mergeable*: a fleet shard aggregates its cells'

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Telemetry
+from repro.obs.trace import active as active_tracer
 
 TIMELINE_FORMAT = 1
 
@@ -607,12 +608,7 @@ def _trace_exemplars(limit: int = 3) -> List[Dict]:
     flush timing) -- attached to incident records for debugging,
     excluded from the timeline digest.
     """
-    # repro.obs re-exports trace() the *function*, which shadows the
-    # submodule on attribute-style imports; resolve the module itself
-    import importlib
-
-    trace_module = importlib.import_module("repro.obs.trace")
-    tracer = trace_module.active()
+    tracer = active_tracer()
     if tracer is None:
         return []
     rollup = tracer.rollup()

@@ -47,6 +47,12 @@ from repro.sim.env import STATE_DIM, ScenarioSimulator
 
 from test_golden_digests import GOLDEN_TRACE_DIGESTS
 
+#: Engine names that must be rejected: a typo and the two batched
+#: tiers that no longer exist.
+REMOVED_ENGINES = ("warp", "vector-compat", "vector-fast")
+#: The rejection names the accepted engines.
+ENGINES_MESSAGE = r"unknown engine .*expected one of \('scalar', 'vector'\)"
+
 
 def _build_sim(name, seed=None):
     spec = scenarios.get(name)
@@ -269,11 +275,12 @@ class TestRunEpisodes:
         assert sims[1].slot == sims[1].horizon
         assert sims[0].horizon != sims[1].horizon
 
-    def test_rejects_unknown_engine(self):
+    @pytest.mark.parametrize("engine", REMOVED_ENGINES)
+    def test_rejects_unknown_engine(self, engine):
         policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match=ENGINES_MESSAGE):
             run_episodes([_build_sim("default")], policy,
-                         engine="warp")
+                         engine=engine)
 
 
 class TestBatchPolicies:
@@ -400,7 +407,8 @@ class TestFleetEngineParity:
             assert a.decisions == b.decisions
             assert a.fallbacks == b.fallbacks
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("engine", REMOVED_ENGINES)
+    def test_unknown_engine_rejected(self, engine):
         from repro.fleet.shard import ShardPlan, run_fleet_shard
         from repro.fleet.spec import FleetSpec
         from repro.serve import snapshot_onrl
@@ -416,8 +424,8 @@ class TestFleetEngineParity:
             shard=0, spec=spec, cells=spec.cell_plans(),
             scenarios=spec.resolve_scenarios(), store_dir=".",
             snapshot_ref=snapshot.ref,
-            snapshot_digest=snapshot.digest, engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
+            snapshot_digest=snapshot.digest, engine=engine)
+        with pytest.raises(ValueError, match=ENGINES_MESSAGE):
             run_fleet_shard(plan, snapshot=snapshot)
 
 

@@ -23,6 +23,8 @@ from repro.scenarios.fuzz import (
     spec_digest,
 )
 
+from test_engine import ENGINES_MESSAGE, REMOVED_ENGINES
+
 
 @pytest.fixture(scope="module")
 def model_based_policy():
@@ -145,9 +147,10 @@ class TestOracle:
     def test_engine_validation(self, model_based_policy):
         from repro.experiments.fuzz import run_fuzz_batch
 
-        with pytest.raises(ValueError, match="engine"):
-            run_fuzz_batch(generate_corpus(11, 1),
-                           model_based_policy, engine="quantum")
+        for engine in REMOVED_ENGINES:
+            with pytest.raises(ValueError, match=ENGINES_MESSAGE):
+                run_fuzz_batch(generate_corpus(11, 1),
+                               model_based_policy, engine=engine)
         with pytest.raises(ValueError, match="at least one"):
             run_fuzz_batch([], model_based_policy)
 

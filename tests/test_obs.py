@@ -3,7 +3,7 @@
 Covers the four obs pillars end to end: structured tracing (span
 nesting, sampling, cross-process merge, the shard-invariant
 attributed digest), the generalized metrics registry (gauges, labels,
-Prometheus export, the serve.telemetry shim), the perf-trajectory
+Prometheus export), the perf-trajectory
 schema (record/validate/compare, the regression gate), and the
 opt-in kernel profiler -- plus the determinism contracts the layer
 must never break (golden workload digests with tracing on).
@@ -19,13 +19,7 @@ from repro import scenarios
 from repro.experiments.harness import make_onrl_agents
 from repro.fleet import FleetSpec, plan_shards, run_fleet_shard
 from repro.obs import bench
-from repro.obs.metrics import (
-    Gauge,
-    Histogram,
-    Telemetry,
-    instrument_key,
-    parse_key,
-)
+from repro.obs.metrics import Telemetry, instrument_key, parse_key
 from repro.obs.profile import KernelProfiler
 from repro.obs.profile import begin as profile_begin
 from repro.obs.trace import (
@@ -170,6 +164,12 @@ class TestTracer:
         missing = str(tmp_path / "nowhere")
         assert main(["obs", "report", missing]) == 2
 
+    def test_trace_module_not_shadowed_by_span_function(self):
+        import repro.obs.trace as module
+
+        assert module.configure_from_env is not None
+        assert module.trace is trace
+
 
 # ---- tracing: determinism + shard invariance -------------------------
 
@@ -286,15 +286,6 @@ class TestMetrics:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows and all(r["unix_time"] == 1234.5 for r in rows)
-
-    def test_serve_telemetry_shim_reexports(self):
-        from repro import serve
-        from repro.serve import telemetry as shim
-
-        assert shim.Gauge is Gauge
-        assert shim.Histogram is Histogram
-        assert shim.Telemetry is Telemetry
-        assert serve.Gauge is Gauge
 
 
 # ---- serve: per-stage attribution ------------------------------------
