@@ -31,13 +31,17 @@ MIN_SPEEDUP = 3.0
 
 #: SLO-evaluation overhead gate: streaming burn-rate evaluation at an
 #: every-batch cadence (64x denser than the service default) must not
-#: cost more than 5% of serving throughput.
+#: add more than 5% to serving wall time (paired median).
 MAX_SLO_OVERHEAD = 0.05
 
 #: Diagnosis-instrumentation overhead gate: the full observer stack --
 #: burn-rate SLO evaluation *plus* the streaming anomaly detectors,
 #: both at every-batch cadence -- must stay within the same 5%.
 MAX_DIAGNOSE_OVERHEAD = 0.05
+
+#: Back-to-back plain/guarded drive pairs in the observer-overhead
+#: measurements, after one warm-up drive of each service.
+OVERHEAD_PAIRS = 9
 
 
 def _make_service(batching: bool, slo=None,
@@ -69,6 +73,33 @@ def _drive(service: SlicingService, slots) -> float:
     for requests in slots:
         service.decide(requests)
     return time.perf_counter() - start
+
+
+def _paired_overhead(benchmark, plain: SlicingService,
+                     guarded: SlicingService, slots):
+    """Observer overhead as the median per-pair wall-time ratio.
+
+    Same protocol as ``bench_engine.py::test_engine_tracing_overhead``:
+    one warm-up drive of each service (numpy buffers, coordinator warm
+    start), then :data:`OVERHEAD_PAIRS` back-to-back plain/guarded
+    drives.  A pair shares its scheduler environment, so slow drift
+    divides out of its ratio, and the median drops the odd pair that
+    straddled a stall.  Returns ``(overhead, plain_s, guarded_s)``
+    with the best-of times for the throughput readout.
+    """
+    _drive(plain, slots)                                  # warm-ups
+    _drive(guarded, slots)
+    plain_runs = []
+    guarded_runs = []
+    for pair in range(OVERHEAD_PAIRS):
+        plain_runs.append(_drive(plain, slots))
+        guarded_runs.append(
+            run_once(benchmark, _drive, guarded, slots)
+            if pair == 0 else _drive(guarded, slots))
+    ratios = sorted(guarded_s / plain_s for plain_s, guarded_s
+                    in zip(plain_runs, guarded_runs))
+    return (ratios[len(ratios) // 2] - 1.0, min(plain_runs),
+            min(guarded_runs))
 
 
 def test_serve_batched_vs_unbatched(benchmark):
@@ -110,7 +141,8 @@ def test_serve_slo_overhead(benchmark):
     Drives identical request streams through a plain service and one
     with a :class:`~repro.obs.slo.SloEvaluator` re-reading the
     registry after *every* decision batch (``slo_every=1``, 64x the
-    default cadence), best-of-2 each.  The guarded spec points every
+    default cadence), gated on the paired median
+    (:func:`_paired_overhead`).  The guarded spec points every
     objective kind at instruments the service actually populates
     (histogram ``count_over`` deltas included), so the gate measures
     real evaluation work, not missing-instrument early-outs.
@@ -134,12 +166,8 @@ def test_serve_slo_overhead(benchmark):
     guarded = _make_service(batching=True, slo=SloEvaluator(spec),
                             slo_every=1)
     slots = _make_requests(plain)
-    _drive(plain, slots[:1])                              # warm-up
-    _drive(guarded, slots[:1])
-
-    plain_s = min(_drive(plain, slots) for _ in range(2))
-    guarded_s = min((run_once(benchmark, _drive, guarded, slots),
-                     _drive(guarded, slots)))
+    overhead, plain_s, guarded_s = _paired_overhead(
+        benchmark, plain, guarded, slots)
 
     sample = slots[0]
     plain_d = plain.decide(sample)
@@ -152,18 +180,17 @@ def test_serve_slo_overhead(benchmark):
     decisions = SLOTS * SLICES
     plain_rate = decisions / plain_s
     guarded_rate = decisions / guarded_s
-    overhead = 1.0 - guarded_rate / plain_rate
     benchmark.extra_info["plain_decisions_per_sec"] = plain_rate
     benchmark.extra_info["guarded_decisions_per_sec"] = guarded_rate
     benchmark.extra_info["slo_overhead_pct"] = 100.0 * overhead
     print(f"\nSLO evaluation overhead at slo_every=1 "
           f"({SLICES} slices, {SLOTS} slots):")
-    print(f"  plain    {plain_rate:12,.0f} decisions/s")
-    print(f"  guarded  {guarded_rate:12,.0f} decisions/s "
-          f"({100.0 * overhead:+.1f}%)")
+    print(f"  plain    {plain_rate:12,.0f} decisions/s (best)")
+    print(f"  guarded  {guarded_rate:12,.0f} decisions/s (best)")
+    print(f"  paired-median overhead {100.0 * overhead:+.1f}%")
     assert overhead <= MAX_SLO_OVERHEAD, \
         (f"slo evaluation costs {100.0 * overhead:.1f}% of serving "
-         f"throughput (gate: <= {100.0 * MAX_SLO_OVERHEAD:.0f}%)")
+         f"wall time (gate: <= {100.0 * MAX_SLO_OVERHEAD:.0f}%)")
 
 
 def test_serve_diagnose_overhead(benchmark):
@@ -192,12 +219,8 @@ def test_serve_diagnose_overhead(benchmark):
     guarded = _make_service(batching=True, slo=SloEvaluator(spec),
                             slo_every=1, anomaly=AnomalyMonitor())
     slots = _make_requests(plain)
-    _drive(plain, slots[:1])                              # warm-up
-    _drive(guarded, slots[:1])
-
-    plain_s = min(_drive(plain, slots) for _ in range(2))
-    guarded_s = min((run_once(benchmark, _drive, guarded, slots),
-                     _drive(guarded, slots)))
+    overhead, plain_s, guarded_s = _paired_overhead(
+        benchmark, plain, guarded, slots)
 
     sample = slots[0]
     plain_d = plain.decide(sample)
@@ -210,16 +233,15 @@ def test_serve_diagnose_overhead(benchmark):
     decisions = SLOTS * SLICES
     plain_rate = decisions / plain_s
     guarded_rate = decisions / guarded_s
-    overhead = 1.0 - guarded_rate / plain_rate
     benchmark.extra_info["plain_decisions_per_sec"] = plain_rate
     benchmark.extra_info["diagnosed_decisions_per_sec"] = guarded_rate
     benchmark.extra_info["diagnose_overhead_pct"] = 100.0 * overhead
     print(f"\nDiagnosis instrumentation overhead at slo_every=1 "
           f"({SLICES} slices, {SLOTS} slots):")
-    print(f"  plain      {plain_rate:12,.0f} decisions/s")
-    print(f"  diagnosed  {guarded_rate:12,.0f} decisions/s "
-          f"({100.0 * overhead:+.1f}%)")
+    print(f"  plain      {plain_rate:12,.0f} decisions/s (best)")
+    print(f"  diagnosed  {guarded_rate:12,.0f} decisions/s (best)")
+    print(f"  paired-median overhead {100.0 * overhead:+.1f}%")
     assert overhead <= MAX_DIAGNOSE_OVERHEAD, \
         (f"diagnosis instrumentation costs {100.0 * overhead:.1f}% "
-         f"of serving throughput (gate: <= "
+         f"of serving wall time (gate: <= "
          f"{100.0 * MAX_DIAGNOSE_OVERHEAD:.0f}%)")

@@ -15,8 +15,8 @@ into flat array math:
   and :data:`ENGINES`, the ``engine`` names every episode driver
   accepts (``"vector"`` and the ``"scalar"`` parity reference);
 * :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol
-  plus vectorised rule-based / model-based / actor-critic policies,
-  batched projection, and the vectorised-env OnRL learner.
+  plus vectorised rule-based / model-based policies, batched
+  projection, and the vectorised-env OnRL learner.
 
 The layers above consume it through
 :func:`repro.experiments.harness.run_episodes`, the fleet shard's
@@ -38,7 +38,6 @@ from repro.engine.kernels import (
     rows_for_network,
 )
 from repro.engine.policies import (
-    ActorCriticBatchPolicy,
     BatchPolicy,
     ConstantBatchPolicy,
     ModelBasedBatchPolicy,
@@ -48,7 +47,6 @@ from repro.engine.policies import (
 )
 
 __all__ = [
-    "ActorCriticBatchPolicy",
     "BatchPolicy",
     "BatchSimulator",
     "BatchStepResult",

@@ -9,8 +9,7 @@ comparison policies vectorise directly:
 * the rule-based Baseline is a per-traffic-bin table -- one
   ``searchsorted`` over the traffic column plus a row gather;
 * Model_Based's programs have closed forms (the SLSQP solve of the
-  scalar path just recovers them), evaluated here as array math;
-* OnRL / the actor-critic run one ``MLP.predict_batch`` forward pass.
+  scalar path just recovers them), evaluated here as array math.
 
 :func:`project_actions_batch` applies the paper's projection
 (Sec. 4) per world across a whole batch, and :class:`VecOnRLAgent`
@@ -176,29 +175,6 @@ class ModelBasedBatchPolicy:
             else:
                 action = policy._solve_rdc(rate)
             actions[row] = action
-        return actions
-
-
-class ActorCriticBatchPolicy:
-    """Deterministic pi_theta over a stacked batch (one forward)."""
-
-    def __init__(self, models: Mapping[str, object]) -> None:
-        if not models:
-            raise ValueError("need at least one model")
-        self.models = dict(models)
-        self._fallback = next(iter(self.models.values()))
-
-    def act_batch(self, states: np.ndarray,
-                  slice_names: Sequence[str]) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        actions = np.empty((len(states), NUM_ACTIONS))
-        groups: Dict[str, List[int]] = {}
-        for row, name in enumerate(slice_names):
-            key = name if name in self.models else "*"
-            groups.setdefault(key, []).append(row)
-        for key, rows in groups.items():
-            model = self.models.get(key, self._fallback)
-            actions[rows] = model.mean_actions(states[rows])
         return actions
 
 

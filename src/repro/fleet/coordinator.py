@@ -29,13 +29,11 @@ from typing import Callable, Dict, List, Optional
 from repro.fleet.report import FleetReport, build_report
 from repro.fleet.shard import ShardPlan, ShardResult, run_fleet_shard
 from repro.fleet.spec import CellPlan, FleetSpec
-from repro.obs.diagnose import make_event_hook, replay_shards, \
-    worst_cells
+from repro.obs.diagnose import ReplayState, replay_shards
 from repro.obs.slo import IncidentTimeline, SloEvaluator, SloSpec
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
 from repro.serve.policy_store import PolicyStore
-from repro.obs.metrics import Telemetry
 
 CHECKPOINT_FORMAT = 1
 
@@ -98,67 +96,20 @@ class FleetSloBreach(RuntimeError):
         self.evaluator = evaluator
 
 
-class _SloDriver:
-    """Prefix-ordered SLO evaluation over completing shards.
-
-    Shard *completion* order is nondeterministic (``as_completed``
-    over a process pool), so results are buffered and the merged
-    telemetry is evaluated strictly in shard-index order -- shard k's
-    evaluation point is the cumulative merge of shards 0..k at logical
-    time ``k + 1``.  That makes the incident timeline (and its digest)
-    a pure function of the campaign, bit-identical across runs, shard
-    counts permitting, and resume/replay paths.
-    """
-
-    def __init__(self, evaluator: SloEvaluator) -> None:
-        self.evaluator = evaluator
-        self._telemetry = Telemetry()
-        self._cells: List = []
-        self._events: Dict[str, tuple] = {}
-        self._pending: Dict[int, ShardResult] = {}
-        self._next = 0
-        # Incident records cite the injected-event windows of the
-        # scenarios the worst cells ran (the diagnosis layer's event
-        # hook); rows are deterministic, so the timeline digest stays
-        # a pure function of the campaign.
-        if evaluator.attribution_hook is None:
-            evaluator.attribution_hook = make_event_hook(self._events)
-
-    def offer(self, result: ShardResult) -> List[Dict]:
-        """Buffer one completed shard; evaluate any ready prefix."""
-        self._pending[result.shard] = result
-        emitted: List[Dict] = []
-        while self._next in self._pending:
-            shard = self._pending.pop(self._next)
-            self._telemetry.merge(shard.telemetry())
-            self._cells.extend(shard.cells)
-            for name, rows in getattr(shard, "events", {}).items():
-                self._events.setdefault(
-                    name, tuple(dict(row) for row in rows))
-            emitted.extend(self.evaluator.observe(
-                self._telemetry, at=float(self._next + 1),
-                attribution=worst_cells(self._cells)))
-            self._next += 1
-        return emitted
-
-    @property
-    def paging(self) -> bool:
-        return self.evaluator.paging
-
-
 def evaluate_checkpoint_slo(checkpoint: "str | FleetCheckpoint",
                             slo: SloSpec,
                             timeline: "str | IncidentTimeline | None"
                             = None) -> SloEvaluator:
     """Replay a checkpoint's shards through an SLO evaluator.
 
-    The offline twin of ``run_fleet(..., slo=...)``: shards evaluate
-    in shard-index order, so the resulting timeline -- and its digest
-    -- is identical to the one the live run wrote.  This is the entry
-    point ``repro obs watch --checkpoint`` and the CI smoke replay
-    use.  ``timeline`` may be a path (a fresh JSONL timeline is
-    written there) or an :class:`IncidentTimeline`; ``None`` keeps
-    records in memory.
+    The offline twin of ``run_fleet(..., slo=...)``: both drive one
+    :class:`~repro.obs.diagnose.ReplayState`, which evaluates shards
+    in shard-index order and stops at a gap in the indices, so the
+    resulting timeline -- and its digest -- is identical to the one
+    the live run wrote.  This is the entry point ``repro obs watch
+    --checkpoint`` and the CI smoke replay use.  ``timeline`` may be
+    a path (a fresh JSONL timeline is written there) or an
+    :class:`IncidentTimeline`; ``None`` keeps records in memory.
     """
     if isinstance(checkpoint, str):
         checkpoint = load_checkpoint(checkpoint)
@@ -312,14 +263,16 @@ def run_fleet(spec: FleetSpec, store_dir: str,
         which is why the choice is deliberately absent from fleet
         experiment-unit cache keys and checkpoint headers.
     slo / slo_timeline / fail_fast:
-        With an :class:`SloSpec`, the coordinator streams every
-        shard-checkpoint boundary through a :class:`SloEvaluator` --
-        in shard-index order regardless of completion order, so the
-        incident timeline is deterministic.  ``slo_timeline`` is a
-        JSONL path (rewritten fresh each run; on resume the replayed
-        shards are re-evaluated first, so a resumed timeline equals an
-        uninterrupted one's -- same convention as the checkpoint
-        rewrite) or a live :class:`IncidentTimeline`.  ``fail_fast``
+        With an :class:`SloSpec`, the coordinator offers every
+        completed shard to a :class:`~repro.obs.diagnose.ReplayState`
+        (the replay :func:`evaluate_checkpoint_slo` runs offline),
+        which evaluates in shard-index order regardless of completion
+        order, so the incident timeline is deterministic.
+        ``slo_timeline`` is a JSONL path (rewritten fresh each run; on
+        resume the replayed shards are re-evaluated first, so a
+        resumed timeline equals an uninterrupted one's -- same
+        convention as the checkpoint rewrite) or a live
+        :class:`IncidentTimeline`.  ``fail_fast``
         aborts with :class:`FleetSloBreach` the moment any objective
         sustains a page-severity burn.  Reports and their digests are
         untouched either way: evaluation only *reads* the merged
@@ -400,30 +353,30 @@ def run_fleet(spec: FleetSpec, store_dir: str,
     shards = len(plans)
     pending = [plan for plan in plans if plan.shard not in done]
 
-    driver = None
+    replay = None
     owns_timeline = slo is not None and isinstance(slo_timeline, str)
     if slo is not None:
         timeline = IncidentTimeline(path=slo_timeline) \
             if owns_timeline else slo_timeline
-        driver = _SloDriver(SloEvaluator(slo, timeline=timeline))
+        replay = ReplayState(slo=slo, timeline=timeline)
 
     def check_breach() -> None:
-        if fail_fast and driver is not None and driver.paging:
-            timeline = driver.evaluator.timeline
+        if fail_fast and replay is not None and replay.evaluator.paging:
+            timeline = replay.evaluator.timeline
             paged = sorted(
                 name for name, record
                 in timeline.open_incidents().items()
                 if record["severity"] == "page")
             raise FleetSloBreach(
                 "fleet slo breach: sustained page-severity burn on "
-                + ", ".join(paged), driver.evaluator)
+                + ", ".join(paged), replay.evaluator)
 
-    if driver is not None:
-        # Replayed shards evaluate first, in shard order: a resumed
-        # run's timeline is identical to an uninterrupted one's (the
-        # timeline, like the checkpoint, is rewritten fresh).
-        for shard_id in sorted(done):
-            driver.offer(done[shard_id])
+    if replay is not None:
+        # Replayed shards evaluate first: a resumed run's timeline is
+        # identical to an uninterrupted one's (the timeline, like the
+        # checkpoint, is rewritten fresh).
+        for result in done.values():
+            replay.offer(result)
         check_breach()
     fh = None
     if checkpoint_path:
@@ -458,8 +411,8 @@ def run_fleet(spec: FleetSpec, store_dir: str,
                      f"cell(s), {result.decisions} decisions in "
                      f"{result.elapsed_s:.2f}s "
                      f"[{len(done)}/{shards} done]")
-        if driver is not None:
-            for event in driver.offer(result):
+        if replay is not None:
+            for event in replay.offer(result):
                 if progress:
                     progress(
                         f"slo {event['event']}: {event['objective']} "
@@ -492,8 +445,8 @@ def run_fleet(spec: FleetSpec, store_dir: str,
     finally:
         if fh is not None:
             fh.close()
-        if owns_timeline and driver is not None:
-            driver.evaluator.timeline.close()
+        if owns_timeline and replay is not None:
+            replay.evaluator.timeline.close()
     wall = time.perf_counter() - start + replayed_s
     results = [done[shard] for shard in sorted(done)]
     return build_report(spec, snapshot.ref, snapshot_digest, results,

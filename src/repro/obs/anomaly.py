@@ -21,26 +21,29 @@ level shift
 
 Detectors keep the same discipline as :class:`~repro.obs.slo
 .SloEvaluator`: they are fed *cumulative* registries on a logical
-time axis, keep a bounded ``(at, numerator, denominator)`` ring, and
-derive per-step windowed values as deltas -- so a fleet replay that
-merges shard prefixes in shard-index order produces bit-identical
-anomaly series no matter how the underlying observations were split
-across shards (see ``tests/test_anomaly_props.py``).
+time axis, read them through the same :func:`~repro.obs.slo.read_sli`
+(a detector's ``mode`` is its SLI shape), keep a bounded ``(at,
+numerator, denominator)`` ring, and derive per-step windowed values
+as deltas -- so a fleet replay that merges shard prefixes in
+shard-index order produces bit-identical anomaly series no matter
+how the underlying observations were split across shards (see
+``tests/test_anomaly_props.py``).
 
 An EWMA of the series is maintained alongside (``alpha`` smoothing)
 purely as a cheap trend readout for dashboards; flagging decisions
 use the robust statistics only.
 
-Import discipline: standard library only (numpy not even needed --
-histories are tiny by construction).
+Import discipline: standard library plus :mod:`repro.obs` (numpy not
+even needed -- histories are tiny by construction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Telemetry
+from repro.obs.slo import read_sli
 
 #: Series modes a detector understands (see :class:`DetectorSpec`).
 MODES = ("mean", "ratio", "rate")
@@ -143,23 +146,6 @@ class StreamingDetector:
         self._points: List[Dict] = []
         self._last: Optional[Dict] = None
 
-    # ---- reading the registry ---------------------------------------
-
-    def _cumulative(self, telemetry: Telemetry
-                    ) -> Tuple[float, float]:
-        spec = self.spec
-        if spec.mode == "mean":
-            histogram = telemetry.find_histogram(spec.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return float(histogram.total), float(histogram.count)
-        numerator = telemetry.find_counter(spec.instrument)
-        num = numerator.value if numerator is not None else 0.0
-        if spec.mode == "rate":
-            return num, -1.0        # denominator is the at axis
-        total = telemetry.find_counter(spec.total)
-        return num, total.value if total is not None else 0.0
-
     # ---- the streaming step -----------------------------------------
 
     def observe(self, telemetry: Telemetry, at: float
@@ -174,7 +160,8 @@ class StreamingDetector:
                 f"observation at {at} is not after the previous "
                 f"sample at {self._samples[-1][0]} (detector "
                 f"{spec.name!r})")
-        num, den = self._cumulative(telemetry)
+        num, den = read_sli(telemetry, spec.mode, spec.instrument,
+                            spec.total)
         previous = self._samples[-1] if self._samples else None
         self._samples.append((at, num, den))
         del self._samples[:-2]          # only step deltas are needed

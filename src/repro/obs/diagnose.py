@@ -25,26 +25,32 @@ Determinism contract
     means -- still travels on the report for operators, but under
     fields (or ``"wall"`` evidence sub-dicts) the digest skips.
 
+One replay
+    :class:`ReplayState` is the only shard replay: the fleet
+    coordinator feeds it live, :func:`replay_shards` feeds it a
+    checkpoint.  Both stop at a gap in the shard indices, so they
+    always write the same timeline.
+
 Layering: this module is part of :mod:`repro.obs` (stdlib + numpy
 only) and therefore never imports :mod:`repro.fleet`.  Shard results
 are duck-typed (``.shard`` / ``.cells`` / ``.telemetry()`` /
-``.events``); the fleet coordinator imports :func:`worst_cells`,
-:func:`make_event_hook` and :func:`replay_shards` *from here*, and
-the tagged-JSON registration of the report dataclasses lives in
-:mod:`repro.runtime.serialization`, both downward imports.
+``.events``); the fleet coordinator imports :class:`ReplayState`
+*from here*, and the tagged-JSON registration of the report
+dataclasses lives in :mod:`repro.runtime.serialization`, both
+downward imports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.anomaly import AnomalyMonitor, DetectorSpec
 from repro.obs.metrics import Telemetry, parse_key
 from repro.obs.slo import IncidentTimeline, SloEvaluator, SloObjective, \
-    SloSpec
+    SloSpec, read_sli
 
 DIAGNOSIS_FORMAT = 1
 
@@ -139,6 +145,18 @@ class DiagnosisReport:
         return sha.hexdigest()
 
 
+def incident_row(objective: SloObjective, severity: str, burn: float,
+                 value: float) -> Dict:
+    """One breached-objective row of :attr:`DiagnosisReport
+    .incidents` (floats rounded like the timeline digest)."""
+    return {"objective": objective.name,
+            "kind": objective.kind,
+            "instrument": objective.instrument,
+            "severity": severity,
+            "burn": round(burn, 9),
+            "value": round(value, 9)}
+
+
 def _rounded(value):
     """Round floats (recursively) the way the timeline digest does."""
     if isinstance(value, float):
@@ -200,15 +218,59 @@ def make_event_hook(events_by_scenario: Dict[str, Sequence[Dict]]):
     return hook
 
 
-@dataclass
 class ReplayState:
-    """Everything a prefix-ordered shard replay accumulated."""
+    """Prefix-ordered shard replay through SLO / anomaly evaluation.
 
-    telemetry: Telemetry
-    cells: List
-    events: Dict[str, Tuple[Dict, ...]]
-    evaluator: Optional[SloEvaluator] = None
-    monitor: Optional[AnomalyMonitor] = None
+    :meth:`offer` buffers results in any arrival order; shard k is
+    merged and evaluated at logical time ``k + 1`` (worst-cell
+    attribution plus the event-window hook) once shards 0..k have all
+    arrived.  The timeline and its digest are therefore a pure
+    function of the shards offered, whatever their order.  Results
+    are duck-typed (``.shard`` / ``.cells`` / ``.telemetry()`` /
+    optional ``.events``; pre-event-capture checkpoints contribute no
+    event rows).
+    """
+
+    def __init__(self, slo: Optional[SloSpec] = None,
+                 timeline: Optional[IncidentTimeline] = None,
+                 monitor: Optional[AnomalyMonitor] = None) -> None:
+        self.telemetry = Telemetry()
+        self.cells: List = []
+        self.events: Dict[str, Tuple[Dict, ...]] = {}
+        # Incident records cite the injected-event windows of the
+        # scenarios the worst cells ran; rows are deterministic, so
+        # the timeline digest stays a pure function of the campaign.
+        self.evaluator: Optional[SloEvaluator] = None
+        if slo is not None:
+            self.evaluator = SloEvaluator(
+                slo, timeline=timeline,
+                attribution_hook=make_event_hook(self.events))
+        self.monitor = monitor
+        self._pending: Dict[int, object] = {}
+        self._next = 0
+
+    def offer(self, result) -> List[Dict]:
+        """Buffer one shard result; merge and evaluate every shard
+        that is now a gap-free prefix.  Returns the incident records
+        those evaluations appended."""
+        self._pending[result.shard] = result
+        emitted: List[Dict] = []
+        while self._next in self._pending:
+            shard = self._pending.pop(self._next)
+            self.telemetry.merge(shard.telemetry())
+            self.cells.extend(shard.cells)
+            for name, rows in getattr(shard, "events", {}).items():
+                self.events.setdefault(
+                    name, tuple(dict(row) for row in rows))
+            self._next += 1
+            at = float(self._next)
+            if self.evaluator is not None:
+                emitted.extend(self.evaluator.observe(
+                    self.telemetry, at,
+                    attribution=worst_cells(self.cells)))
+            if self.monitor is not None:
+                self.monitor.observe(self.telemetry, at)
+        return emitted
 
 
 def replay_shards(results: Iterable,
@@ -216,40 +278,17 @@ def replay_shards(results: Iterable,
                   timeline: Optional[IncidentTimeline] = None,
                   monitor: Optional[AnomalyMonitor] = None
                   ) -> ReplayState:
-    """Stream shard results through SLO / anomaly evaluation.
+    """Offer every shard result to a fresh :class:`ReplayState`.
 
-    The offline twin of the coordinator's live ``_SloDriver``: shards
-    merge strictly in shard-index order, shard k evaluating at logical
-    time ``k + 1`` with worst-cell attribution plus the event-window
-    hook -- so a checkpoint replay reproduces the live run's timeline
-    (and digest) bit for bit.  ``results`` rows are duck-typed
-    (``.shard`` / ``.cells`` / ``.telemetry()`` / optional
-    ``.events``); pre-event-capture checkpoints simply contribute no
-    event rows.
+    The offline side of the one replay the coordinator runs live
+    (``run_fleet(..., slo=...)``), so a checkpoint replay reproduces
+    the live run's timeline (and digest) bit for bit.  Shards after a
+    gap in the indices stay unmerged, as they would live.
     """
-    ordered = sorted(results, key=lambda result: result.shard)
-    events: Dict[str, Tuple[Dict, ...]] = {}
-    evaluator = None
-    if slo is not None:
-        evaluator = SloEvaluator(slo, timeline=timeline,
-                                 attribution_hook=make_event_hook(
-                                     events))
-    telemetry = Telemetry()
-    cells: List = []
-    for index, result in enumerate(ordered):
-        telemetry.merge(result.telemetry())
-        cells.extend(result.cells)
-        for name, rows in getattr(result, "events", {}).items():
-            events.setdefault(
-                name, tuple(dict(row) for row in rows))
-        at = float(index + 1)
-        if evaluator is not None:
-            evaluator.observe(telemetry, at,
-                              attribution=worst_cells(cells))
-        if monitor is not None:
-            monitor.observe(telemetry, at)
-    return ReplayState(telemetry=telemetry, cells=cells, events=events,
-                       evaluator=evaluator, monitor=monitor)
+    state = ReplayState(slo=slo, timeline=timeline, monitor=monitor)
+    for result in results:
+        state.offer(result)
+    return state
 
 
 # ---- judging the final state -----------------------------------------
@@ -265,23 +304,14 @@ def final_incidents(spec: SloSpec, telemetry: Telemetry) -> List[Dict]:
     """
     rows: List[Dict] = []
     for objective in spec.objectives:
-        num, den = SloEvaluator._cumulative(objective, telemetry)
+        num, den = objective.cumulative(telemetry)
         if den <= 0:
             continue
         sli = num / den
         burn = sli / objective.allowance
-        if burn >= objective.page_burn:
-            severity = "page"
-        elif burn >= objective.warn_burn:
-            severity = "warn"
-        else:
-            continue
-        rows.append({"objective": objective.name,
-                     "kind": objective.kind,
-                     "instrument": objective.instrument,
-                     "severity": severity,
-                     "burn": round(burn, 9),
-                     "value": round(sli, 9)})
+        severity = objective.severity(burn, burn)
+        if severity is not None:
+            rows.append(incident_row(objective, severity, burn, sli))
     return rows
 
 
@@ -316,11 +346,6 @@ def _timeline_episodes(records: Sequence[Dict]) -> List[Dict]:
 
 
 # ---- hypothesis generation -------------------------------------------
-
-def _counter_value(telemetry: Telemetry, key: str) -> float:
-    counter = telemetry.find_counter(key)
-    return counter.value if counter is not None else 0.0
-
 
 def _labeled_counter_rows(telemetry: Telemetry, name: str
                           ) -> List[Dict]:
@@ -389,8 +414,8 @@ def _fallback_hypothesis(incident: Dict, telemetry: Telemetry
     Weighted up when the breached objective *is* the fallback rate,
     down otherwise -- a fallback storm shows up in latency breaches
     only indirectly (pi_b decisions are safe but conservative)."""
-    decisions = _counter_value(telemetry, "decisions")
-    fallbacks = _counter_value(telemetry, "fallbacks")
+    fallbacks, decisions = read_sli(telemetry, "ratio", "fallbacks",
+                                    "decisions")
     if decisions <= 0 or fallbacks <= 0:
         return None
     rate = fallbacks / decisions
@@ -421,9 +446,9 @@ def _snapshot_hypothesis(incident: Dict, telemetry: Telemetry,
     not presumed guilty."""
     if not snapshot_ref:
         return None
-    decisions = _counter_value(telemetry, "decisions")
-    rate = (_counter_value(telemetry, "fallbacks") / decisions
-            if decisions > 0 else 0.0)
+    fallbacks, decisions = read_sli(telemetry, "ratio", "fallbacks",
+                                    "decisions")
+    rate = fallbacks / decisions if decisions > 0 else 0.0
     score = round(min(0.45, 0.05 + 2.0 * rate), 9)
     label = (f"snapshot:{snapshot_ref}@{snapshot_digest[:12]} serving "
              f"regression -> {incident['instrument']} "
@@ -492,7 +517,8 @@ def diagnose_fleet(results: Iterable,
     ``results`` comes from a live ``run_fleet`` (via the checkpoint)
     or ``FleetCheckpoint.results.values()``; the replay re-derives the
     incident timeline and anomaly series exactly as the live run saw
-    them, then judges breaches and hypotheses on the final state (see
+    them (stopping at a gap in the shard indices, as the live run
+    does), then judges breaches and hypotheses on the final state (see
     module docstring for what the digest covers).
     """
     monitor = AnomalyMonitor(detectors)
@@ -503,10 +529,9 @@ def diagnose_fleet(results: Iterable,
     for incident in incidents:
         hypotheses.extend(_event_hypotheses(
             incident, state.cells, state.events, telemetry))
-        for build in (_fallback_hypothesis,):
-            hypothesis = build(incident, telemetry)
-            if hypothesis is not None:
-                hypotheses.append(hypothesis)
+        hypothesis = _fallback_hypothesis(incident, telemetry)
+        if hypothesis is not None:
+            hypotheses.append(hypothesis)
         hypothesis = _snapshot_hypothesis(
             incident, telemetry, snapshot_ref, snapshot_digest)
         if hypothesis is not None:
@@ -552,18 +577,10 @@ def diagnose_telemetry(rows: Sequence[Dict], slo: SloSpec,
             telemetry.counter(str(row.get("metric", "")),
                               row.get("labels")).inc(
                 float(row.get("value", 0.0)))
-    incidents: List[Dict] = []
-    for status in point_statuses(slo, rows):
-        if status.severity is None:
-            continue
-        incidents.append({
-            "objective": status.objective.name,
-            "kind": status.objective.kind,
-            "instrument": status.objective.instrument,
-            "severity": status.severity,
-            "burn": round(status.burn_fast, 9),
-            "value": round(status.value, 9),
-        })
+    incidents = [incident_row(status.objective, status.severity,
+                              status.burn_fast, status.value)
+                 for status in point_statuses(slo, rows)
+                 if status.severity is not None]
     hypotheses: List[Hypothesis] = []
     for incident in incidents:
         hypothesis = _fallback_hypothesis(incident, telemetry)

@@ -223,13 +223,8 @@ def point_statuses(spec: SloSpec, rows: Sequence[Dict]
                 denominator = counters.get(objective.total, 0.0)
                 value = numerator / denominator if denominator else 0.0
             burn = value / objective.allowance
-        severity = None
-        if burn >= objective.page_burn:
-            severity = "page"
-        elif burn >= objective.warn_burn:
-            severity = "warn"
         statuses.append(ObjectiveStatus(
-            objective=objective, severity=severity,
+            objective=objective, severity=objective.severity(burn, burn),
             burn_fast=burn, burn_slow=burn, value=value,
             history=[burn]))
     return statuses

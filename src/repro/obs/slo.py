@@ -29,6 +29,11 @@ use -- wall seconds for a live service, served slots for a
 for the fleet coordinator -- which is what makes evaluation
 *deterministic* when the time axis is logical.
 
+One read, one rule: every observer -- this evaluator, the anomaly
+detectors, the diagnosis layer -- reads SLIs through :func:`read_sli`
+and judges severity with :meth:`SloObjective.severity`, so SLA health
+means the same thing wherever it is checked.
+
 Firing transitions are deduplicated into an :class:`IncidentTimeline`
 -- structured JSONL ``open`` / ``update`` / ``resolve`` records
 carrying the offending instrument key, burn rates, optional per-cell /
@@ -151,6 +156,66 @@ class SloObjective:
         if self.kind == "latency":
             return (100.0 - self.percentile) / 100.0
         return self.ceiling
+
+    def cumulative(self, telemetry: Telemetry) -> Tuple[float, float]:
+        """(numerator, denominator) running totals of this objective's
+        SLI (see :func:`read_sli`)."""
+        if self.kind == "latency":
+            shape = "over"
+        elif self.kind == "mean" and not self.total:
+            shape = "mean"
+        else:
+            shape = "ratio"
+        return read_sli(telemetry, shape, self.instrument, self.total,
+                        self.budget_ms)
+
+    def severity(self, burn_fast: float, burn_slow: float
+                 ) -> Optional[str]:
+        """The one severity rule: ``"page"`` when both burns reach
+        :attr:`page_burn`, else ``"warn"`` when both reach
+        :attr:`warn_burn`, else ``None``.  Point-in-time readers pass
+        the same burn twice."""
+        if burn_fast >= self.page_burn and burn_slow >= self.page_burn:
+            return "page"
+        if burn_fast >= self.warn_burn and burn_slow >= self.warn_burn:
+            return "warn"
+        return None
+
+
+def read_sli(telemetry: Telemetry, shape: str, instrument: str,
+             total: str = "", budget: float = 0.0
+             ) -> Tuple[float, float]:
+    """Cumulative ``(numerator, denominator)`` of one SLI -- the one
+    registry read every observer (SLO evaluation, anomaly detectors,
+    diagnosis) shares.
+
+    shape="over"
+        histogram ``instrument``: observations above ``budget`` /
+        observation count.
+    shape="mean"
+        histogram ``instrument``: sum / observation count.
+    shape="ratio"
+        counter ``instrument`` / counter ``total``.
+    shape="rate"
+        counter ``instrument`` with no denominator (0.0); the caller
+        divides by its own time axis.
+
+    Missing instruments read as 0.
+    """
+    if shape == "over" or shape == "mean":
+        histogram = telemetry.find_histogram(instrument)
+        if histogram is None:
+            return 0.0, 0.0
+        if shape == "over":
+            return (histogram.count_over(budget),
+                    float(histogram.count))
+        return float(histogram.total), float(histogram.count)
+    counter = telemetry.find_counter(instrument)
+    numerator = counter.value if counter is not None else 0.0
+    if shape == "rate":
+        return numerator, 0.0
+    counter = telemetry.find_counter(total)
+    return numerator, counter.value if counter is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -408,28 +473,6 @@ class SloEvaluator:
                 status.severity = record["severity"]
                 status.incident = record["incident"]
 
-    # ---- reading the registry ---------------------------------------
-
-    @staticmethod
-    def _cumulative(objective: SloObjective, telemetry: Telemetry
-                    ) -> Tuple[float, float]:
-        """(numerator, denominator) running totals for one objective."""
-        if objective.kind == "latency":
-            histogram = telemetry.find_histogram(objective.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return (histogram.count_over(objective.budget_ms),
-                    float(histogram.count))
-        if objective.kind == "mean" and not objective.total:
-            histogram = telemetry.find_histogram(objective.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return float(histogram.total), float(histogram.count)
-        bad = telemetry.find_counter(objective.instrument)
-        total = telemetry.find_counter(objective.total)
-        return (bad.value if bad is not None else 0.0,
-                total.value if total is not None else 0.0)
-
     def _window_rate(self, name: str, at: float, window: float
                      ) -> float:
         """Windowed SLI: delta ratio against the newest sample at or
@@ -471,7 +514,7 @@ class SloEvaluator:
                 raise ValueError(
                     f"observation at {at} is not after the previous "
                     f"sample at {samples[-1][0]} (objective {name!r})")
-            num, den = self._cumulative(objective, telemetry)
+            num, den = objective.cumulative(telemetry)
             samples.append((at, num, den))
             # prune beyond the slow window, keeping one anchor sample
             # at/before every reachable window start
@@ -489,13 +532,7 @@ class SloEvaluator:
                                          objective.slow_window)
             burn_fast = sli_fast / objective.allowance
             burn_slow = sli_slow / objective.allowance
-            severity = None
-            if (burn_fast >= objective.page_burn
-                    and burn_slow >= objective.page_burn):
-                severity = "page"
-            elif (burn_fast >= objective.warn_burn
-                    and burn_slow >= objective.warn_burn):
-                severity = "warn"
+            severity = objective.severity(burn_fast, burn_slow)
 
             status = self._status[name]
             previous = status.severity
@@ -577,8 +614,8 @@ class SloEvaluator:
         rows: List[Dict] = []
         ok = True
         for objective in self.spec.objectives:
-            inc_num, inc_den = self._cumulative(objective, incumbent)
-            cand_num, cand_den = self._cumulative(objective, candidate)
+            inc_num, inc_den = objective.cumulative(incumbent)
+            cand_num, cand_den = objective.cumulative(candidate)
             inc_value = inc_num / inc_den if inc_den > 0 else 0.0
             cand_value = cand_num / cand_den if cand_den > 0 else 0.0
             within_budget = cand_value <= objective.allowance

@@ -24,8 +24,8 @@ from repro.fleet import (
     run_fleet,
     run_fleet_shard,
 )
-from repro.fleet.coordinator import _SloDriver
 from repro.obs.cli import load_slo_spec
+from repro.obs.diagnose import ReplayState, replay_shards
 from repro.obs.metrics import (
     EXACT_SAMPLE_LIMIT,
     Histogram,
@@ -108,6 +108,16 @@ def counters(**values):
     telemetry = Telemetry()
     for name, value in values.items():
         telemetry.counter(name).inc(float(value))
+    return telemetry
+
+
+def histograms(**observations):
+    """A cumulative registry holding histograms of the given
+    observations (few enough to stay in exact mode)."""
+    telemetry = Telemetry()
+    for name, values in observations.items():
+        for value in values:
+            telemetry.histogram(name).observe(value)
     return telemetry
 
 
@@ -361,6 +371,50 @@ class TestCompare:
         assert verdict["candidate_ok"]
         assert not verdict["rows"][0]["within_budget"]
 
+    #: One case per SLI shape: (objective, incumbent registry and its
+    #: hand-computed SLI, candidate registry with the instrument
+    #: present and its SLI, candidate registry without the instrument,
+    #: which reads 0).
+    SHAPES = {
+        "latency": (
+            SloObjective(name="obj", kind="latency", instrument="lat",
+                         budget_ms=100.0),
+            (histograms(lat=(50, 150, 90, 200)), 0.5),     # 2 of 4
+            (histograms(lat=(120, 130, 140, 10)), 0.75),   # 3 of 4
+            counters(other=1)),
+        "histogram-mean": (
+            SloObjective(name="obj", kind="mean", instrument="cost",
+                         ceiling=1.0),
+            (histograms(cost=(1, 2, 3, 6)), 3.0),          # 12 / 4
+            (histograms(cost=(4, 4, 4, 8)), 5.0),          # 20 / 4
+            counters(other=1)),
+        "counter-mean": (
+            SloObjective(name="obj", kind="mean",
+                         instrument="cost_total", total="slots",
+                         ceiling=1.0),
+            (counters(cost_total=30, slots=10), 3.0),
+            (counters(cost_total=45, slots=10), 4.5),
+            counters(slots=10)),
+        "ratio": (
+            SloObjective(name="obj", kind="ratio", instrument="bad",
+                         total="all", ceiling=0.05),
+            (counters(bad=3, all=12), 0.25),
+            (counters(bad=6, all=12), 0.5),
+            counters(all=12)),
+    }
+
+    @pytest.mark.parametrize("present", [True, False],
+                             ids=["present", "absent"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_reads_every_sli_shape(self, shape, present):
+        objective, (incumbent, inc_value), (candidate, cand_value), \
+            absent = self.SHAPES[shape]
+        spec = SloSpec(name="canary", objectives=(objective,))
+        row = SloEvaluator(spec).compare(
+            incumbent, candidate if present else absent)["rows"][0]
+        assert row["incumbent"] == inc_value
+        assert row["candidate"] == (cand_value if present else 0.0)
+
 
 # ---- histogram interpolation (satellite) -----------------------------
 
@@ -455,10 +509,12 @@ class TestTraceSampleValidation:
 
 
 def timeline_from(results, order):
-    driver = _SloDriver(SloEvaluator(LATENCY_SPEC))
+    """The live coordinator's path: results offered one by one in
+    completion ``order``."""
+    replay = ReplayState(slo=LATENCY_SPEC)
     for index in order:
-        driver.offer(results[index])
-    return driver.evaluator.timeline
+        replay.offer(results[index])
+    return replay.evaluator.timeline
 
 
 class TestFleetSlo:
@@ -471,6 +527,23 @@ class TestFleetSlo:
         digests = {timeline_from(shard_results, order).digest()
                    for order in itertools.permutations(range(4))}
         assert digests == {reference.digest()}
+
+    @pytest.mark.parametrize("subset, story", [
+        ((0, 2), [("open", 1.0)]),
+        ((1, 2, 3), []),
+    ])
+    def test_gapped_replay_matches_the_live_path(self, shard_results,
+                                                 subset, story):
+        """A checkpoint can hold shard 2 before shard 1 (the pool
+        checkpoints in completion order).  The live coordinator stops
+        at the gap; the offline replay of the same results must too,
+        instead of evaluating the shards past it."""
+        live = timeline_from(shard_results, subset)
+        replayed = replay_shards(
+            [shard_results[index] for index in subset],
+            slo=LATENCY_SPEC).evaluator.timeline
+        assert [(r["event"], r["at"]) for r in live.records] == story
+        assert replayed.digest() == live.digest()
 
     def test_pinned_timeline_open_resolve_and_attribution(
             self, shard_results):
